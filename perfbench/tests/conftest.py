@@ -1,0 +1,10 @@
+"""Make the benchmark modules and the program importable for these tests.
+
+Run from the root of the repo: ``python -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
