@@ -9,8 +9,9 @@ subpackage provides:
   partitioner;
 * :class:`~repro.hashing.universal.MultiplyShiftHash` — a classic universal
   hash for integer keys, useful in property tests about collision behaviour;
-* :mod:`~repro.hashing.vectorized` — numpy SplitMix64 kernels behind
-  :meth:`HashFamily.candidates_batch`, the batched routing fast path;
+* :mod:`~repro.hashing.vectorized` — numpy SplitMix64 and key-folding
+  kernels behind :meth:`HashFamily.candidates_batch`, the batched routing
+  fast path;
 * :class:`~repro.hashing.consistent.ConsistentHashRing` — a consistent-hash
   ring with virtual nodes, used as a related-work baseline (routing-table-free
   key grouping with smooth worker addition/removal).
@@ -19,7 +20,7 @@ subpackage provides:
 from repro.hashing.consistent import ConsistentHashRing
 from repro.hashing.hash_family import HashFamily, stable_hash
 from repro.hashing.universal import MultiplyShiftHash, TabulationHash
-from repro.hashing.vectorized import bucketed_hashes, splitmix64_array
+from repro.hashing.vectorized import bucketed_hashes, fold_keys, splitmix64_array
 
 __all__ = [
     "ConsistentHashRing",
@@ -27,6 +28,7 @@ __all__ = [
     "MultiplyShiftHash",
     "TabulationHash",
     "bucketed_hashes",
+    "fold_keys",
     "splitmix64_array",
     "stable_hash",
 ]

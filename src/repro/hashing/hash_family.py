@@ -20,14 +20,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hashing.vectorized import bucketed_hash_columns, bucketed_hashes
+from repro.hashing.vectorized import bucketed_hash_columns, bucketed_hashes, fold_keys
 from repro.types import Key, WorkerId
 
 _MASK64 = (1 << 64) - 1
 
 #: Upper bound on the number of keys each :class:`HashFamily` interns.  The
-#: cache is FIFO-evicted, so a family never holds more than this many
-#: candidate tuples / folded integers regardless of stream cardinality.
+#: caches are reset when full, so a family never holds more than this many
+#: candidate tuples / folded integers regardless of stream cardinality, and
+#: a miss stays O(1) however wide the key space.
 DEFAULT_CACHE_SIZE = 1 << 16
 
 #: Key types the interning caches may hold.  Dict lookups use ``==``, which
@@ -102,7 +103,7 @@ def stable_hash(key: Key, seed: int = 0) -> int:
 
 
 #: A hash family keeps candidate tables for at most this many dictionaries
-#: (FIFO-evicted).  Streams use one dictionary, so this is pure headroom.
+#: (reset when full).  Streams use one dictionary, so this is pure headroom.
 _MAX_ID_TABLES = 4
 
 
@@ -184,14 +185,16 @@ class HashFamily:
         # inner mix only depends on the sub-seed, so do it once here.
         self._mixed_seeds = tuple(_splitmix64(s) for s in self._sub_seeds)
         self._mixed_seeds_np = np.array(self._mixed_seeds, dtype=np.uint64)
-        # Interning caches (FIFO-evicted at cache_size entries): string keys
+        # Interning caches (reset when full at cache_size entries; they only
+        # memoise values derivable from the key, so any hit pattern gives the
+        # same answers, and clear() keeps a miss O(1)): string keys
         # are folded to 64 bits once, and a key's candidate tuple is derived
         # once rather than per message.  Candidate tuples are prefix-stable
         # in d, so one cached tuple serves every smaller d via slicing.
         self._int_cache: dict[Key, int] = {}
         self._candidate_cache: dict[Key, tuple[WorkerId, ...]] = {}
         # Per-dictionary candidate tables for the columnar id fast path,
-        # keyed by KeyDictionary.token (FIFO-bounded; see _id_table).
+        # keyed by KeyDictionary.token (bounded; see _id_table).
         self._id_tables: dict[int, _IdTable] = {}
 
     @property
@@ -254,7 +257,7 @@ class HashFamily:
         )
         if self._cache_size:
             if len(cache) >= self._cache_size:
-                cache.pop(next(iter(cache)))
+                cache.clear()
             cache[key] = result
         return result
 
@@ -267,18 +270,10 @@ class HashFamily:
         SplitMix64 mixing and bucket reduction run vectorized over the full
         ``(len(keys), d)`` matrix.
         """
-        if d is None:
-            d = self._num_functions
-        if not 1 <= d <= self._num_functions:
-            raise ConfigurationError(
-                f"requested d={d} outside [1, {self._num_functions}]"
-            )
-        key_ints = np.fromiter(
-            (self._intern_key(key) for key in keys),
-            dtype=np.uint64,
-            count=len(keys),
+        d = self._check_d(d)
+        return bucketed_hashes(
+            self._intern_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
         )
-        return bucketed_hashes(key_ints, self._mixed_seeds_np[:d], self._num_buckets)
 
     def candidates_batch_columns(
         self, keys: Sequence[Key], d: int | None = None
@@ -291,19 +286,9 @@ class HashFamily:
         per-message row list that ``candidates_batch(...).tolist()`` would
         allocate.
         """
-        if d is None:
-            d = self._num_functions
-        if not 1 <= d <= self._num_functions:
-            raise ConfigurationError(
-                f"requested d={d} outside [1, {self._num_functions}]"
-            )
-        key_ints = np.fromiter(
-            (self._intern_key(key) for key in keys),
-            dtype=np.uint64,
-            count=len(keys),
-        )
+        d = self._check_d(d)
         return bucketed_hash_columns(
-            key_ints, self._mixed_seeds_np[:d], self._num_buckets
+            self._intern_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
         )
 
     def _check_d(self, d: int | None) -> int:
@@ -321,7 +306,7 @@ class HashFamily:
         table = tables.get(dictionary.token)
         if table is None or table.width < d:
             if table is None and len(tables) >= _MAX_ID_TABLES:
-                tables.pop(next(iter(tables)))
+                tables.clear()
             table = _IdTable(d)
             tables[dictionary.token] = table
         size = len(dictionary)
@@ -365,7 +350,7 @@ class HashFamily:
         return tuple(self._id_table(dictionary, d)[kid, :d].tolist())
 
     def _intern_key(self, key: Key) -> int:
-        """``_key_to_int`` with FIFO-bounded memoisation."""
+        """``_key_to_int`` with bounded memoisation (reset when full)."""
         if type(key) not in _CACHEABLE_TYPES:
             return _key_to_int(key)  # cross-type ==; see _CACHEABLE_TYPES
         cache = self._int_cache
@@ -374,9 +359,38 @@ class HashFamily:
             value = _key_to_int(key)
             if self._cache_size:
                 if len(cache) >= self._cache_size:
-                    cache.pop(next(iter(cache)))
+                    cache.clear()
                 cache[key] = value
         return value
+
+    def _intern_keys(self, keys: Sequence[Key]) -> np.ndarray:
+        """:meth:`_intern_key` over a batch, as a ``uint64`` array.
+
+        The whole batch is looked up in the cache in one pass; the misses
+        (and the uncacheable keys) are folded together by
+        :func:`~repro.hashing.vectorized.fold_keys`.
+        """
+        cache = self._int_cache
+        get = cache.get
+        values = [
+            get(key) if type(key) in _CACHEABLE_TYPES else None for key in keys
+        ]
+        misses = [position for position, value in enumerate(values) if value is None]
+        if misses:
+            miss_keys = [keys[position] for position in misses]
+            folded = fold_keys(miss_keys).tolist()
+            for position, value in zip(misses, folded):
+                values[position] = value
+            fresh = {
+                key: value
+                for key, value in zip(miss_keys, folded)
+                if type(key) in _CACHEABLE_TYPES
+            }
+            if len(cache) + len(fresh) > self._cache_size:
+                cache.clear()
+            if len(fresh) <= self._cache_size:
+                cache.update(fresh)
+        return np.array(values, dtype=np.uint64)
 
     def distinct_candidates(self, key: Key, d: int | None = None) -> tuple[WorkerId, ...]:
         """Like :meth:`candidates` but with duplicates removed, order kept."""
@@ -387,11 +401,15 @@ class HashFamily:
 
     def with_buckets(self, num_buckets: int) -> "HashFamily":
         """Return a new family with the same seed but a different codomain."""
-        return HashFamily(self._num_functions, num_buckets, self._seed)
+        return HashFamily(
+            self._num_functions, num_buckets, self._seed, self._cache_size
+        )
 
     def with_functions(self, num_functions: int) -> "HashFamily":
         """Return a new family with the same seed but a different size."""
-        return HashFamily(num_functions, self._num_buckets, self._seed)
+        return HashFamily(
+            num_functions, self._num_buckets, self._seed, self._cache_size
+        )
 
     def spread(self, keys: Iterable[Key], d: int = 1) -> list[int]:
         """Histogram of bucket hits for ``keys`` under the first ``d`` functions.

@@ -32,7 +32,7 @@ class ConsistentGrouping(Partitioner):
 
     name = "CH"
 
-    #: Cap on the per-id owner cache of the columnar path (FIFO-evicted).
+    #: Cap on the per-id owner cache of the columnar path (reset when full).
     _ID_OWNER_CACHE_LIMIT = 1 << 16
 
     def __init__(self, num_workers: int, seed: int = 0, replicas: int = 64) -> None:
@@ -72,7 +72,7 @@ class ConsistentGrouping(Partitioner):
             if worker is None:
                 worker = lookup(key_of(kid))
                 if len(cache) >= limit:
-                    cache.pop(next(iter(cache)))
+                    cache.clear()
                 cache[kid] = worker
             loads[worker] += 1
             append(worker)

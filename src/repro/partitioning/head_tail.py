@@ -178,9 +178,9 @@ class HeadTailPartitioner(Partitioner):
     _head_path_chunk_safe = False
 
     #: Maximum number of (head key -> candidate tuple) entries interned by
-    #: the head candidate cache; FIFO-evicted beyond this.  Head keys are
-    #: few by definition (at most the sketch capacity at any instant), so
-    #: the bound only matters on long runs with drifting heads.
+    #: the head candidate cache; reset when full.  Head keys are few by
+    #: definition (at most the sketch capacity at any instant), so the
+    #: bound only matters on long runs with drifting heads.
     _HEAD_CANDIDATE_CACHE_LIMIT = 1 << 14
 
     def _select_worker(self, key: Key) -> WorkerId:
@@ -471,7 +471,7 @@ class HeadTailPartitioner(Partitioner):
             # The cache-tag handshake runs once up front so the hot path may
             # read the cache directly; misses go through
             # _cached_head_candidates, the single home of the dedupe /
-            # FIFO-eviction logic (its re-check of the tag is then a no-op).
+            # reset-when-full logic (its re-check of the tag is then a no-op).
             num_choices = max(2, min(num_choices, self.num_workers))
             if id_mode:
                 cache = self._head_cand_cache_ids
@@ -610,7 +610,7 @@ class HeadTailPartitioner(Partitioner):
                 dict.fromkeys(self._hashes.candidates(key, num_choices))
             )
             if len(cache) >= self._HEAD_CANDIDATE_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
+                cache.clear()
             cache[key] = candidates
         return candidates
 
@@ -637,7 +637,7 @@ class HeadTailPartitioner(Partitioner):
                 )
             )
             if len(cache) >= self._HEAD_CANDIDATE_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
+                cache.clear()
             cache[kid] = candidates
         return candidates
 

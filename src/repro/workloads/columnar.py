@@ -22,11 +22,14 @@ bit.  The property tests in ``tests/property/test_columnar_equivalence.py``
 pin that contract.
 
 A dictionary may be *bounded* (``max_keys``): the forward ``key -> id`` map
-then evicts its oldest entries FIFO-style, like the hash-family caches it
-generalises.  Eviction only forgets the forward direction — already-issued
-ids stay decodable forever — so a re-appearing key simply gets a fresh id.
-Bounded mode trades a little id-table growth for a hard cap on the forward
-map, which matters for unbounded key spaces (e.g. file replays).
+then evicts its oldest entries FIFO-style.  Unlike the hash-family memos,
+which are simply reset when full, this order is meaningful — it decides
+which ids get assigned — so a cursor over the ids in id order names the
+entry to evict, in O(1).  Eviction only forgets the forward direction —
+already-assigned ids stay decodable forever — so a re-appearing key
+simply gets a fresh id.  Bounded mode trades a little id-table growth for
+a hard cap on the forward map, which matters for unbounded key spaces
+(e.g. file replays).
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ class KeyDictionary:
         (:meth:`key_of`, :meth:`decode`) are unaffected by eviction.
     """
 
-    __slots__ = ("_forward", "_keys", "_folded", "_size", "_max_keys", "token")
+    __slots__ = (
+        "_forward", "_keys", "_folded", "_size", "_max_keys", "_evict_at", "token"
+    )
 
     def __init__(self, max_keys: int | None = None) -> None:
         if max_keys is not None and max_keys < 1:
@@ -70,6 +75,8 @@ class KeyDictionary:
         self._folded = np.empty(_GROW, dtype=np.uint64)
         self._size = 0
         self._max_keys = max_keys
+        # Bounded mode: the oldest id with a forward entry.
+        self._evict_at = 0
         self.token = next(_TOKENS)
 
     def __len__(self) -> int:
@@ -106,7 +113,13 @@ class KeyDictionary:
         forward = self._forward
         forward[key] = kid
         if self._max_keys is not None and len(forward) > self._max_keys:
-            del forward[next(iter(forward))]
+            # Forward entries are only added under a fresh id and only
+            # removed here, so the live ids are exactly [_evict_at, _size):
+            # the oldest entry is that of id _evict_at.  (Deleting the
+            # dict's first entry instead is O(n) once full: it walks the
+            # deleted slots at the front of the entry table.)
+            del forward[self._keys[self._evict_at]]
+            self._evict_at += 1
         return kid
 
     def intern(self, key: Key) -> int:

@@ -109,6 +109,17 @@ class TestHashFamily:
         # the shared prefix of candidates is identical
         assert grown.candidates("k", 2) == family.candidates("k", 2)
 
+    @pytest.mark.parametrize("cache_size", [0, 5])
+    def test_with_buckets_and_with_functions_keep_cache_size(self, cache_size):
+        family = HashFamily(num_functions=2, num_buckets=10, seed=5, cache_size=cache_size)
+        for derived in (family.with_buckets(20), family.with_functions(6)):
+            assert derived._cache_size == cache_size
+            for i in range(20):
+                derived.candidates(f"k{i}", 2)
+            derived.candidates_batch([f"b{i}" for i in range(20)], 2)
+            assert len(derived._candidate_cache) <= cache_size
+            assert len(derived._int_cache) <= cache_size
+
     def test_spread_is_roughly_uniform(self):
         family = HashFamily(num_functions=1, num_buckets=10, seed=11)
         counts = family.spread((f"key-{i}" for i in range(20_000)), d=1)

@@ -2,7 +2,7 @@
 
 ``id_candidate_rows`` must be a pure gather view of ``candidates_batch`` —
 bit-identical for every dictionary state, growth pattern and requested d —
-and the table lifecycle (lazy growth, wider-d rebuild, FIFO bounding,
+and the table lifecycle (lazy growth, wider-d rebuild, bounding,
 rescale invalidation) must never leak stale buckets.
 """
 
@@ -70,14 +70,16 @@ class TestIdCandidateRows:
             assert tuple(rows[position].tolist()) == family.candidates(key)
             assert (columns[0][position], columns[1][position]) == family.candidates(key)
 
-    def test_tables_are_fifo_bounded_per_family(self):
+    def test_tables_are_bounded_per_family(self):
         family = HashFamily(num_functions=2, num_buckets=11, seed=1)
         dictionaries = [KeyDictionary() for _ in range(hf._MAX_ID_TABLES + 2)]
         for dictionary in dictionaries:
             ids = _intern(dictionary, ["x", "y"])
             family.id_candidate_rows(ids, dictionary)
-        assert len(family._id_tables) == hf._MAX_ID_TABLES
-        # The oldest dictionaries were evicted; re-querying just rebuilds.
+            assert len(family._id_tables) <= hf._MAX_ID_TABLES
+        # The table set was reset when full: the newest dictionary keeps its
+        # table, the oldest lost it, and re-querying just rebuilds.
+        assert dictionaries[-1].token in family._id_tables
         evicted = dictionaries[0]
         assert evicted.token not in family._id_tables
         again = family.id_candidate_rows(

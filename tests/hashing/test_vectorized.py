@@ -4,10 +4,33 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.hashing.hash_family import HashFamily, _key_to_int, stable_hash
-from repro.hashing.vectorized import splitmix64_array
+from repro.hashing.vectorized import fold_keys, splitmix64_array
+
+#: Encoded lengths around the fold's edges: the one-word short form (<= 8),
+#: the chunk boundaries, and the packed/scalar split at 64 bytes.
+_EDGE_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 80]
+
+_text_keys = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet="ab\x00", max_size=80),  # trailing NULs vs padding
+    st.text(alphabet="é€😀x", max_size=30),  # 2-4 byte UTF-8
+    st.builds(lambda n, c: c * n, st.sampled_from(_EDGE_LENGTHS), st.sampled_from("x\x00")),
+    st.builds(lambda s: s + "\x00", st.text(max_size=70)),
+)
+_keys = st.one_of(
+    _text_keys,
+    st.binary(max_size=80),
+    st.builds(lambda n: b"\x00" * n, st.sampled_from(_EDGE_LENGTHS)),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(), st.text(max_size=5)),
+)
 
 
 class TestSplitmixArray:
@@ -64,9 +87,21 @@ class TestInterningCache:
         keys = [f"key-{i % 20}" for i in range(200)]
         for key in keys:
             assert family.candidates(key, 2) == reference.candidates(key, 2)
-        # FIFO bound is respected
-        assert len(family._candidate_cache) <= 8
-        assert len(family._int_cache) <= 8
+            # Reset-when-full bound is respected after every insertion
+            assert len(family._candidate_cache) <= 8
+            assert len(family._int_cache) <= 8
+        # The batch paths share the int cache: batches larger than the
+        # cache, batches that overflow it part-way, and repeats within one
+        # batch all answer like the uncached reference.
+        for size in (3, 7, 13, 40):
+            for start in range(0, len(keys), size):
+                batch = keys[start : start + size]
+                assert np.array_equal(
+                    family.candidates_batch(batch, 2),
+                    reference.candidates_batch(batch, 2),
+                )
+                assert len(family._int_cache) <= 8
+        assert len(reference._int_cache) == len(reference._candidate_cache) == 0
 
     def test_bool_keys_do_not_alias_int_keys(self):
         family = HashFamily(num_functions=2, num_buckets=1000, seed=5)
@@ -89,6 +124,39 @@ class TestInterningCache:
         assert warm.candidates_batch([-1.0], 2).tolist()[0] == list(
             cold.candidates(-1.0, 2)
         )
+
+
+class TestFoldKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_keys, max_size=40))
+    def test_matches_scalar_fold(self, keys):
+        folded = fold_keys(keys)
+        assert folded.dtype == np.uint64
+        assert folded.tolist() == [_key_to_int(key) for key in keys]
+
+    def test_every_length_up_to_80_bytes(self):
+        keys = []
+        for length in range(81):
+            keys += ["k" * length, "\x00" * length, b"\xff" * length, "é" * (length // 2)]
+        assert fold_keys(keys).tolist() == [_key_to_int(key) for key in keys]
+
+    def test_empty_batch(self):
+        assert fold_keys([]).shape == (0,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(_text_keys, st.integers(-5, 300)), min_size=65, max_size=300))
+    def test_batch_columns_match_scalar_past_the_cache_bound(self, keys):
+        # More than cache_size distinct keys through one family (the batch
+        # path in the overflow regime), interleaved with scalar lookups that
+        # share its int cache.
+        family = HashFamily(num_functions=3, num_buckets=29, seed=17, cache_size=64)
+        keys = keys + [f"distinct-{i}" for i in range(70)]
+        for start in range(0, len(keys), 50):
+            batch = keys[start : start + 50]
+            columns = family.candidates_batch_columns(batch, 3)
+            assert list(zip(*columns)) == [family.candidates(key, 3) for key in batch]
+            assert len(family._int_cache) <= 64
+            assert len(family._candidate_cache) <= 64
 
 
 class TestChunkedKeyFold:

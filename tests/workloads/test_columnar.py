@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import WorkloadError
 from repro.hashing.hash_family import _key_to_int
@@ -110,6 +112,47 @@ class TestKeyDictionary:
         assert len(d) == 5
         # Both ids fold to the same hash input, so routing is unaffected.
         assert d.folded[0] == d.folded[4] == np.uint64(_key_to_int("a"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        max_keys=st.integers(min_value=1, max_value=6),
+        stream=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=12),
+                st.sampled_from(["a", "b", "c", 1.0, True]),
+            ),
+            max_size=120,
+        ),
+        chunk=st.integers(min_value=1, max_value=17),
+    )
+    def test_bounded_eviction_matches_naive_fifo(self, max_keys, stream, chunk):
+        # Model: a forward dict whose oldest entry is deleted on overflow.
+        # Small key alphabets make evicted keys re-appear (re-interned under
+        # fresh ids), and 1 / 1.0 / True share one forward entry.
+        forward: dict = {}
+        size = 0
+        expected = []
+        for key in stream:
+            kid = forward.get(key)
+            if kid is None:
+                kid = size
+                size += 1
+                forward[key] = kid
+                if len(forward) > max_keys:
+                    del forward[next(iter(forward))]
+            expected.append(kid)
+        d = KeyDictionary(max_keys=max_keys)
+        actual: list[int] = []
+        for start in range(0, len(stream), chunk):
+            part = stream[start : start + chunk]
+            if start % 2:
+                actual.extend(d.intern(key) for key in part)
+            else:
+                actual.extend(d.intern_keys(part).tolist())
+        assert actual == expected
+        assert len(d) == size
+        assert d._forward == forward
+        assert list(d._forward.values()) == list(forward.values())
 
     def test_max_keys_validation(self):
         with pytest.raises(WorkloadError):
