@@ -265,14 +265,14 @@ class HashFamily:
         """Candidate buckets for a whole batch of keys at once.
 
         Returns an ``int64`` array of shape ``(len(keys), d)`` whose row
-        ``i`` equals ``candidates(keys[i], d)``.  Key serialisation goes
-        through the interning cache (each distinct key is folded once); the
-        SplitMix64 mixing and bucket reduction run vectorized over the full
-        ``(len(keys), d)`` matrix.
+        ``i`` equals ``candidates(keys[i], d)``.  Key serialisation
+        (:func:`~repro.hashing.vectorized.fold_keys`), the SplitMix64 mixing
+        and the bucket reduction run vectorized over the whole batch; the
+        interning caches serve only the scalar :meth:`candidates`.
         """
         d = self._check_d(d)
         return bucketed_hashes(
-            self._intern_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
+            fold_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
         )
 
     def candidates_batch_columns(
@@ -288,7 +288,7 @@ class HashFamily:
         """
         d = self._check_d(d)
         return bucketed_hash_columns(
-            self._intern_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
+            fold_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
         )
 
     def _check_d(self, d: int | None) -> int:
@@ -362,35 +362,6 @@ class HashFamily:
                     cache.clear()
                 cache[key] = value
         return value
-
-    def _intern_keys(self, keys: Sequence[Key]) -> np.ndarray:
-        """:meth:`_intern_key` over a batch, as a ``uint64`` array.
-
-        The whole batch is looked up in the cache in one pass; the misses
-        (and the uncacheable keys) are folded together by
-        :func:`~repro.hashing.vectorized.fold_keys`.
-        """
-        cache = self._int_cache
-        get = cache.get
-        values = [
-            get(key) if type(key) in _CACHEABLE_TYPES else None for key in keys
-        ]
-        misses = [position for position, value in enumerate(values) if value is None]
-        if misses:
-            miss_keys = [keys[position] for position in misses]
-            folded = fold_keys(miss_keys).tolist()
-            for position, value in zip(misses, folded):
-                values[position] = value
-            fresh = {
-                key: value
-                for key, value in zip(miss_keys, folded)
-                if type(key) in _CACHEABLE_TYPES
-            }
-            if len(cache) + len(fresh) > self._cache_size:
-                cache.clear()
-            if len(fresh) <= self._cache_size:
-                cache.update(fresh)
-        return np.array(values, dtype=np.uint64)
 
     def distinct_candidates(self, key: Key, d: int | None = None) -> tuple[WorkerId, ...]:
         """Like :meth:`candidates` but with duplicates removed, order kept."""

@@ -17,7 +17,9 @@ The equivalence is pinned by ``tests/hashing/test_vectorized.py``.
 
 :func:`fold_keys` does the same for key serialisation: it folds a batch of
 string / bytes keys to the 64-bit words of ``hash_family._key_to_int``
-with a few numpy passes over their packed bytes.
+with a few numpy passes over their packed bytes; an all-ASCII batch of
+short ``str`` keys is packed without a per-key encode, and a batch of
+``int`` keys is converted in one step.
 """
 
 from __future__ import annotations
@@ -101,14 +103,26 @@ def bucketed_hashes(
 def fold_keys(keys) -> np.ndarray:
     """``hash_family._key_to_int`` over a batch of keys, as ``uint64``.
 
-    ``str`` and ``bytes`` keys of at most :data:`_PACKED_BYTES` encoded
-    bytes are packed into one zero-padded ``S{8k}`` buffer and viewed as
-    ``k`` little-endian ``uint64`` words per key, so the short-key XOR and
-    the FNV-1a chunk loop of the scalar fold run over word columns, each
-    step masked by the key's length (a zero padding word must not take a
-    multiply).  Every other key goes through the scalar fold.  The result
-    is bit-identical to ``[_key_to_int(key) for key in keys]``.
+    A batch of exact ``int`` keys that fit ``int64`` is their
+    two's-complement words (``key & _MASK64``), and an ASCII batch (see
+    :func:`_fold_ascii`) is packed in one numpy step.  Otherwise ``str``
+    and ``bytes`` keys of at most :data:`_PACKED_BYTES` encoded bytes are
+    encoded one by one into a zero-padded ``S{8k}`` buffer, and every
+    other key goes through the scalar fold.  Either way the packed keys
+    are viewed as ``k`` little-endian ``uint64`` words each and folded by
+    :func:`_fold_words`.  The result is bit-identical to
+    ``[_key_to_int(key) for key in keys]``.
     """
+    kinds = set(map(type, keys))
+    if kinds == {int}:
+        try:
+            return np.array(keys, dtype=np.int64).view(np.uint64)
+        except OverflowError:
+            pass  # a key outside int64 takes the scalar fold below
+    elif kinds == {str}:
+        folded = _fold_ascii(keys)
+        if folded is not None:
+            return folded
     from repro.hashing import hash_family  # imports this module
 
     key_to_int = hash_family._key_to_int
@@ -128,11 +142,44 @@ def fold_keys(keys) -> np.ndarray:
     lengths = np.fromiter(map(len, packed), dtype=np.uint64, count=len(packed))
     width = max(1, -(-int(lengths.max()) // 8))
     words = np.array(packed, dtype=f"S{8 * width}").view("<u8").reshape(-1, width)
-    # Short keys: word ^ base.  Long keys: FNV-1a from base over every
-    # 8-byte chunk; the first chunk's XOR is shared with the short form.
+    out[positions] = _fold_words(words, lengths)
+    return out
+
+
+def _fold_ascii(keys) -> np.ndarray | None:
+    """:func:`fold_keys` of a non-empty batch of exact ``str`` keys.
+
+    Returns ``None`` unless the joined batch is ASCII and no key is longer
+    than :data:`_PACKED_BYTES` characters.  An ASCII character is one UTF-8
+    byte, so ``np.array(keys, dtype="U{8k}")`` viewed as ``uint32`` code
+    points and narrowed to ``uint8`` is the zero-padded encoding of every
+    key in ``k`` words, built without a per-key ``encode``.  Lengths come
+    from ``len``: numpy's ``U`` dtype drops trailing NULs, but its buffer
+    keeps them.
+    """
+    if not "".join(keys).isascii():
+        return None
+    lengths = np.fromiter(map(len, keys), dtype=np.uint64, count=len(keys))
+    longest = int(lengths.max())
+    if longest > _PACKED_BYTES:
+        return None
+    width = max(1, -(-longest // 8))
+    codes = np.array(keys, dtype=f"U{8 * width}").view(np.uint32)
+    words = codes.astype(np.uint8).view("<u8").reshape(-1, width)
+    return _fold_words(words, lengths)
+
+
+def _fold_words(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Fold zero-padded little-endian key words as ``_key_to_int`` does.
+
+    ``words`` is ``(m, k)`` ``uint64``, row ``i`` holding the encoded bytes
+    of key ``i``; ``lengths`` its byte counts.  Short keys: word ^ base.
+    Long keys: FNV-1a from base over every 8-byte chunk; the first chunk's
+    XOR is shared with the short form.  Each step is masked by the key's
+    length (a zero padding word must not take a multiply).
+    """
     acc = words[:, 0] ^ ((lengths * _GAMMA) ^ _FNV_OFFSET)
-    for j in range(1, width):
+    for j in range(1, words.shape[1]):
         acc = (acc * np.where(lengths > 8 * j, _FNV_PRIME, _ONE)) ^ words[:, j]
     acc *= np.where(lengths > 8, _FNV_PRIME, _ONE)
-    out[positions] = acc
-    return out
+    return acc

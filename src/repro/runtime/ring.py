@@ -165,6 +165,15 @@ class SpscRing:
     def capacity_words(self) -> int:
         return self._capacity
 
+    def detach(self) -> None:
+        """Drop this handle's view of the ring; any later access fails.
+
+        See :meth:`SharedClusterState.detach
+        <repro.runtime.state.SharedClusterState.detach>`: the mapping
+        behind the ring can only close once no view over it is alive.
+        """
+        self._words = None
+
     def free_words(self) -> int:
         """Payload words currently free (producer's view)."""
         words = self._words

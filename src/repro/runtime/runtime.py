@@ -472,6 +472,9 @@ class _Supervisor:
             config.ring_capacity_words,
             create=True,
         )
+        # The dead incarnation's Process arguments still hold the old
+        # handle; drop its view so the mapping can close after the run.
+        self._rings[worker_id].detach()
         self._rings[worker_id] = ring
         self._state.reset_worker(worker_id)
         recv, send = self._ctx.Pipe(duplex=False)
@@ -871,7 +874,12 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                     pass
         # Every numpy view over the shared blocks must die before the
         # mappings can close — including the ones captured inside the
-        # Process argument tuples, the supervisor and the monitor thread.
+        # Process argument tuples, the supervisor and the monitor thread,
+        # and the ones an in-flight exception's traceback pins through
+        # their frames (strict-mode raise): the handles drop their views.
+        state.detach()
+        for ring in rings:
+            ring.detach()
         processes.clear()
         workers.clear()
         source = None

@@ -140,6 +140,15 @@ class SharedClusterState:
     def num_workers(self) -> int:
         return self._num_workers
 
+    def detach(self) -> None:
+        """Drop this handle's view of the block; any later access fails.
+
+        A ``SharedMemory`` mapping cannot close while a numpy view over it
+        is alive, and a handle can outlive its run (pinned by an in-flight
+        exception's traceback), so the owner detaches before closing.
+        """
+        self._words = None
+
     def abort(self) -> None:
         self._words[_ABORT] = 1
 

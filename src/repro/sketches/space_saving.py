@@ -201,49 +201,15 @@ class SpaceSaving(FrequencyEstimator):
     ) -> list[bool]:
         """Fused bulk update + head classification (see the base contract).
 
-        The full-chunk form derives its flags from
-        :meth:`add_and_classify_runs` — the run pass is the one true hot
-        loop and the expansion runs at C speed — so there is exactly one
-        inlined copy of the update machinery.  The ``stop_at_head`` form
-        keeps its own loop: it must halt the sketch feed mid-chunk, and the
-        scans D-Choices uses it for are short by construction.
+        Both forms derive their flags from the run pass of
+        :meth:`_feed_runs` — the one inlined copy of the update machinery —
+        and expand them at C speed.  With ``stop_at_head`` the pass halts
+        right after the first head message, so the runs are one zero per
+        tail message and a closing ``1``.
         """
-        if not stop_at_head:
-            return runs_to_flags(
-                self.add_and_classify_runs(keys, threshold, warmup, tail_out)
-            )
-        flags: list[bool] = []
-        append = flags.append
-        where_get = self._where.get
-        slow_add = self.add_and_estimate
-        total = self._total
-        tail_append = tail_out.append if tail_out is not None else None
-        for key in keys:
-            total += 1
-            bucket = where_get(key)
-            if bucket is not None:
-                new_count = bucket.count + 1
-                if len(bucket.keys) == 1:
-                    nxt = bucket.next
-                    if nxt is None or nxt.count > new_count:
-                        bucket.count = new_count
-                    else:
-                        self._total = total - 1
-                        new_count = slow_add(key)
-                else:
-                    self._total = total - 1
-                    new_count = slow_add(key)
-            else:
-                self._total = total - 1
-                new_count = slow_add(key)
-            is_head = total >= warmup and new_count >= threshold * total
-            append(is_head)
-            if is_head:
-                break
-            if tail_append is not None:
-                tail_append(key)
-        self._total = total
-        return flags
+        return runs_to_flags(
+            self._feed_runs(keys, threshold, warmup, tail_out, stop_at_head)
+        )
 
     def add_and_classify_runs(
         self,
@@ -255,21 +221,31 @@ class SpaceSaving(FrequencyEstimator):
         """Fused bulk update + run-length head classification.
 
         THE routing hot loop: every message of every head/tail scheme's
-        batch path goes through here exactly once.  The whole monitored-key
-        update of :meth:`add_and_estimate` is inlined — the steady state
-        (key alone in its count class) is a dict hit and an integer bump,
-        a count-class relink touches no helper either — and only the
-        unmonitored cases (insert, eviction) take a method call.  A head
-        message costs one integer bump of the open run instead of a list
-        append, which on the skewed streams the head/tail split exists for
-        is most messages.  Flags derived from the returned runs are
-        identical to the reference ``add`` + ``estimate`` loop's.
+        batch path goes through :meth:`_feed_runs` exactly once.  Flags
+        derived from the returned runs are identical to the reference
+        ``add`` + ``estimate`` loop's, and the sketch ends in the same
+        state.
+        """
+        return self._feed_runs(keys, threshold, warmup, tail_out, False)
+
+    def _feed_runs(self, keys, threshold, warmup, tail_out, stop_at_head) -> list[int]:
+        """The bulk sketch feed behind both classify forms.
+
+        The whole unit update of :meth:`add_and_estimate` is inlined: the
+        steady state (key alone in its count class) is a dict hit and an
+        integer bump, a count-class relink touches no helper, and neither
+        does the eviction of a full sketch — on a wide key space almost
+        every message is one.  Only insertion into a sketch that is not yet
+        full takes a method call.  A head message costs one integer bump of
+        the open run instead of a list append, which on the skewed streams
+        the head/tail split exists for is most messages.
         """
         runs: list[int] = []
         rappend = runs.append
         where = self._where
         where_get = where.get
-        slow_add = self.add_and_estimate
+        errors = self._errors
+        capacity = self._capacity
         total = self._total
         sink = tail_out if tail_out is not None else []
         tail_append = sink.append
@@ -283,9 +259,8 @@ class SpaceSaving(FrequencyEstimator):
                 if len(bucket.keys) == 1 and (nxt is None or nxt.count > new_count):
                     bucket.count = new_count
                 else:
-                    # Inlined unit relink (mirrors add_and_estimate): move
-                    # the key one count class up, dropping its old class if
-                    # that leaves it empty.
+                    # Unit relink: move the key one count class up, dropping
+                    # its old class if that leaves it empty.
                     del bucket.keys[key]
                     if nxt is not None and nxt.count == new_count:
                         target = nxt
@@ -308,11 +283,41 @@ class SpaceSaving(FrequencyEstimator):
                         if nxt is not None:
                             nxt.prev = prev
                         bucket.prev = bucket.next = None
+            elif len(where) < capacity:
+                self._insert_new(key, 1, error=0)
+                new_count = 1
             else:
-                self._total = total - 1
-                new_count = slow_add(key)
+                # Eviction: the oldest key of the minimum class makes way,
+                # and the newcomer enters class min+1 with error min.
+                floor = self._head
+                floor_keys = floor.keys
+                victim = next(iter(floor_keys))
+                del floor_keys[victim]
+                del where[victim]
+                del errors[victim]
+                error = floor.count
+                new_count = error + 1
+                nxt = floor.next
+                if nxt is not None and nxt.count == new_count:
+                    target = nxt
+                else:
+                    target = _Bucket(new_count)
+                    target.prev = floor
+                    target.next = nxt
+                    if nxt is not None:
+                        nxt.prev = target
+                    floor.next = target
+                target.keys[key] = None
+                where[key] = target
+                errors[key] = error
+                if not floor_keys:
+                    self._head = target
+                    target.prev = None
+                    floor.next = None
             if total >= warmup and new_count >= threshold * total:
                 run += 1
+                if stop_at_head:
+                    break
             else:
                 rappend(run)
                 run = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.hashing.hash_family import HashFamily, _key_to_int, stable_hash
+from repro.hashing import vectorized
 from repro.hashing.vectorized import fold_keys, splitmix64_array
 
 #: Encoded lengths around the fold's edges: the one-word short form (<= 8),
@@ -90,9 +93,10 @@ class TestInterningCache:
             # Reset-when-full bound is respected after every insertion
             assert len(family._candidate_cache) <= 8
             assert len(family._int_cache) <= 8
-        # The batch paths share the int cache: batches larger than the
-        # cache, batches that overflow it part-way, and repeats within one
-        # batch all answer like the uncached reference.
+        # The batch paths fold every key afresh: batches larger than the
+        # cache and repeats within one batch answer like the uncached
+        # reference, and leave the memos as the scalar lookups left them.
+        int_cache = dict(family._int_cache)
         for size in (3, 7, 13, 40):
             for start in range(0, len(keys), size):
                 batch = keys[start : start + size]
@@ -100,7 +104,7 @@ class TestInterningCache:
                     family.candidates_batch(batch, 2),
                     reference.candidates_batch(batch, 2),
                 )
-                assert len(family._int_cache) <= 8
+        assert family._int_cache == int_cache
         assert len(reference._int_cache) == len(reference._candidate_cache) == 0
 
     def test_bool_keys_do_not_alias_int_keys(self):
@@ -146,9 +150,9 @@ class TestFoldKeys:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(_text_keys, st.integers(-5, 300)), min_size=65, max_size=300))
     def test_batch_columns_match_scalar_past_the_cache_bound(self, keys):
-        # More than cache_size distinct keys through one family (the batch
-        # path in the overflow regime), interleaved with scalar lookups that
-        # share its int cache.
+        # More than cache_size distinct keys through one family: the scalar
+        # lookups overflow its memos, interleaved with batches that fold
+        # every key afresh.
         family = HashFamily(num_functions=3, num_buckets=29, seed=17, cache_size=64)
         keys = keys + [f"distinct-{i}" for i in range(70)]
         for start in range(0, len(keys), 50):
@@ -157,6 +161,104 @@ class TestFoldKeys:
             assert list(zip(*columns)) == [family.candidates(key, 3) for key in batch]
             assert len(family._int_cache) <= 64
             assert len(family._candidate_cache) <= 64
+
+
+class _Text(str):
+    """A ``str`` subclass: folds like ``str`` but must take the per-key path."""
+
+
+#: ASCII keys around the fold's edges: NULs anywhere (numpy's ``U`` dtype
+#: drops trailing ones), empty keys, and the 63/64/65-character split.
+_ascii_keys = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=70),
+    st.text(alphabet="a\x00", max_size=70),
+    st.builds(lambda n, c: c * n, st.sampled_from([0, 1, 8, 9, 63, 64, 65]), st.sampled_from("k\x00")),
+    st.builds(lambda s: s + "\x00\x00", st.text(alphabet="xyz", max_size=62)),
+)
+#: One key that makes a batch leave the ASCII path.
+_odd_keys = st.one_of(
+    st.text(alphabet="é€😀", min_size=1, max_size=5),
+    st.binary(max_size=10),
+    st.integers(-5, 2**70),
+    st.builds(_Text, st.text(alphabet="ab", max_size=10)),
+)
+
+
+_fold_ascii = vectorized._fold_ascii
+
+
+def _ascii_path_declines(keys):
+    assert _fold_ascii(keys) is None, f"ASCII path taken for {keys!r}"
+    return None
+
+
+class TestAsciiFold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ascii_keys, min_size=1, max_size=40))
+    def test_ascii_path_matches_scalar_fold(self, keys):
+        expected = [_key_to_int(key) for key in keys]
+        ascii_fold = _fold_ascii(keys)
+        if max(map(len, keys)) <= 64:
+            assert ascii_fold is not None and ascii_fold.dtype == np.uint64
+            assert ascii_fold.tolist() == expected
+        else:
+            assert ascii_fold is None  # a key past 64 characters
+        assert fold_keys(keys).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_ascii_keys, max_size=30),
+        _odd_keys,
+        st.integers(min_value=0, max_value=30),
+    )
+    def test_one_odd_key_falls_back(self, keys, odd, position):
+        keys = keys[:position] + [odd] + keys[position:]
+        expected = [_key_to_int(key) for key in keys]
+        family = HashFamily(num_functions=3, num_buckets=31, seed=5)
+        with mock.patch.object(vectorized, "_fold_ascii", _ascii_path_declines):
+            assert fold_keys(keys).tolist() == expected
+            columns = family.candidates_batch_columns(keys, 3)
+        assert list(zip(*columns)) == [family.candidates(key, 3) for key in keys]
+
+    def test_nul_and_empty_batches(self):
+        assert fold_keys([]).shape == (0,)
+        for keys in (
+            [""],
+            ["", "", ""],
+            ["a\x00", "a", "\x00", ""],
+            ["\x00a\x00", "\x00" * 64, "b" * 63 + "\x00"],
+        ):
+            folded = _fold_ascii(keys)
+            assert folded is not None
+            assert folded.tolist() == [_key_to_int(key) for key in keys]
+
+    def test_ascii_batch_answers_like_scalar_candidates(self):
+        family = HashFamily(num_functions=4, num_buckets=23, seed=13, cache_size=16)
+        keys = [f"key-{i % 50}" for i in range(120)] + ["", "\x00", "z" * 64]
+        columns = family.candidates_batch_columns(keys, 4)
+        assert list(zip(*columns)) == [family.candidates(key, 4) for key in keys]
+
+
+class TestIntFold:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**63), 2**63 - 1),
+                st.sampled_from([-(2**63) - 1, 2**63, 2**64 - 1, 2**64, -(2**70)]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_int_batches_match_scalar_fold(self, keys):
+        # In int64 the keys are converted in one step; one key outside it
+        # sends the whole batch through the scalar fold.
+        assert fold_keys(keys).tolist() == [_key_to_int(key) for key in keys]
+
+    def test_bools_do_not_take_the_int_path(self):
+        for keys in ([True, False], [True, 1, False, 0], [1, 0]):
+            assert fold_keys(keys).tolist() == [_key_to_int(key) for key in keys]
 
 
 class TestChunkedKeyFold:

@@ -1,4 +1,4 @@
-"""Unit tests of the shared cluster-state block (in-process, no shm)."""
+"""Unit tests of the shared cluster-state block (in-process; shm only for detach)."""
 
 from __future__ import annotations
 
@@ -168,3 +168,30 @@ class TestImbalance:
             worker_processed=[3, 1],
         )
         assert snapshot.imbalance == pytest.approx(3 / 4 - 1 / 2)
+
+
+class TestDetach:
+    def test_detached_handles_let_the_mapping_close(self):
+        # run_cluster's teardown: a handle kept alive (here by a local, in
+        # a strict-mode raise by the traceback) must not pin the mapping.
+        from multiprocessing import shared_memory
+
+        from repro.runtime.ring import SpscRing, ring_words
+
+        state_shm = shared_memory.SharedMemory(create=True, size=state_words(2, 4) * 8)
+        ring_shm = shared_memory.SharedMemory(create=True, size=ring_words(64) * 8)
+        try:
+            state = SharedClusterState(state_shm.buf, 2, 4, create=True)
+            ring = SpscRing(ring_shm.buf, 64, create=True)
+            with pytest.raises(BufferError):
+                state_shm.close()  # the live view pins the mapping
+            state.detach()
+            ring.detach()
+            state_shm.close()
+            ring_shm.close()
+            with pytest.raises(TypeError):
+                state.aborted()  # a detached handle fails loudly
+        finally:
+            for shm in (state_shm, ring_shm):
+                shm.close()
+                shm.unlink()

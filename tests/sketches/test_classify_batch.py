@@ -120,6 +120,74 @@ class TestAddAndClassifyBatch:
         assert runs_to_flags([0]) == []
 
 
+def _eviction_heavy_streams():
+    rng = random.Random(23)
+    wide = [f"w{rng.randrange(5_000)}" for _ in range(3_000)]  # nearly all misses
+    zipf = [f"z{key}" for key in ZipfWorkload(0.8, 2_000, 3_000, seed=29)]
+    # A hot key over a churning tail: relinks, in-place bumps and
+    # evictions interleave, and the minimum class empties often.
+    churn = [key for i in range(1_500) for key in ("hot", f"c{i}")]
+    return {"wide": wide, "zipf-wide": zipf, "churn": churn}
+
+
+class TestSpaceSavingBulkState:
+    """The bulk feeds leave the summary exactly where the scalar loop does.
+
+    Equal flags are not enough: the count classes, their key order (the
+    eviction order) and the errors decide every later message, so the
+    exported state — which lists all three — must match too.
+    """
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 40])
+    @pytest.mark.parametrize("warmup", [0, 100])
+    @pytest.mark.parametrize("stream", ["wide", "zipf-wide", "churn"])
+    def test_chunked_runs_match_scalar_state(self, capacity, warmup, stream):
+        keys = _eviction_heavy_streams()[stream]
+        threshold = 0.05
+        expected = _reference_flags(SpaceSaving(capacity=capacity), keys, threshold, warmup)
+        reference = SpaceSaving(capacity=capacity)
+        fused = SpaceSaving(capacity=capacity)
+        flags: list[bool] = []
+        for start in range(0, len(keys), 257):
+            chunk = keys[start : start + 257]
+            flags.extend(runs_to_flags(fused.add_and_classify_runs(chunk, threshold, warmup)))
+            for key in chunk:
+                reference.add(key)
+            # Every chunk boundary is a state checkpoint, not only the end.
+            assert fused.export_state() == reference.export_state()
+        assert flags == expected
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 40])
+    @pytest.mark.parametrize("warmup", [0, 100])
+    @pytest.mark.parametrize("stream", ["wide", "zipf-wide", "churn"])
+    def test_stop_at_head_scan_matches_scalar_state(self, capacity, warmup, stream):
+        keys = _eviction_heavy_streams()[stream]
+        threshold = 0.05
+        expected = _reference_flags(SpaceSaving(capacity=capacity), keys, threshold, warmup)
+        reference = SpaceSaving(capacity=capacity)
+        scanning = SpaceSaving(capacity=capacity)
+        flags: list[bool] = []
+        tails: list = []
+        position = 0
+        scans = 0
+        while position < len(keys):
+            # Resume after each head message, as D-Choices does between
+            # solver checkpoints; the sketch is parked at that message.
+            scan = scanning.add_and_classify_batch(
+                keys[position : position + 300], threshold, warmup, True, tails
+            )
+            for key in keys[position : position + len(scan)]:
+                reference.add(key)
+            flags.extend(scan)
+            position += len(scan)
+            scans += 1
+            if scans % 50 == 0 or not scan[-1]:  # sample the many 1-key scans
+                assert scanning.export_state() == reference.export_state()
+        assert scanning.export_state() == reference.export_state()
+        assert flags == expected
+        assert tails == [key for key, hot in zip(keys, expected) if not hot]
+
+
 class TestHeadSignature:
     @pytest.mark.parametrize("name", SKETCHES)
     @pytest.mark.parametrize("stream", ["zipf", "uniform", "bursty"])
